@@ -144,14 +144,18 @@ impl FleetTopology {
         let edge_count = nodes.div_ceil(ECDS_PER_SWITCH).max(1);
         let (switch_count, links) = match shape {
             FleetShape::Line => {
-                let links = (1..edge_count).map(|i| FleetLink { a: i - 1, b: i }).collect();
+                let links = (1..edge_count)
+                    .map(|i| FleetLink { a: i - 1, b: i })
+                    .collect();
                 (edge_count, links)
             }
             FleetShape::Ring => {
                 if edge_count < 3 {
                     // A 2-switch "ring" is a doubled line edge; degrade
                     // to the line so links stay simple (no multi-edges).
-                    let links = (1..edge_count).map(|i| FleetLink { a: i - 1, b: i }).collect();
+                    let links = (1..edge_count)
+                        .map(|i| FleetLink { a: i - 1, b: i })
+                        .collect();
                     (edge_count, links)
                 } else {
                     let mut links: Vec<FleetLink> = (1..edge_count)

@@ -474,8 +474,14 @@ mod tests {
         assert_eq!(SimTime::ZERO - huge, Nanos::from_nanos(i64::MIN));
         // ... and differences inside the range stay exact even when the
         // operands themselves exceed i64::MAX ns.
-        assert_eq!(huge - SimTime::from_nanos(u64::MAX - 7), Nanos::from_nanos(7));
-        assert_eq!(SimTime::from_nanos(u64::MAX - 7) - huge, Nanos::from_nanos(-7));
+        assert_eq!(
+            huge - SimTime::from_nanos(u64::MAX - 7),
+            Nanos::from_nanos(7)
+        );
+        assert_eq!(
+            SimTime::from_nanos(u64::MAX - 7) - huge,
+            Nanos::from_nanos(-7)
+        );
         assert_eq!(
             SimTime::from_nanos(i64::MAX as u64) - SimTime::ZERO,
             Nanos::from_nanos(i64::MAX)
