@@ -10,8 +10,6 @@
 
 use crate::json::Json;
 use crate::matrix::{Coord, RunPlan};
-use crate::spec::{discipline_name, parse_discipline, strategy_static, KernelChoice};
-use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
 use tsn_metrics::{ExperimentEvent, SampleSummary};
 use tsn_time::SyncState;
@@ -207,133 +205,7 @@ impl RunRecord {
     /// The record as a JSON document (the single source of truth for
     /// both encoders).
     fn to_json(&self) -> Json {
-        let coord = Json::object(vec![
-            (
-                "scenario",
-                Json::Str(self.coord.scenario.name().to_string()),
-            ),
-            ("seed", Json::UInt(self.coord.seed)),
-            ("domains", opt_uint(self.coord.domains.map(|m| m as u64))),
-            ("sync_interval_ms", opt_uint(self.coord.sync_interval_ms)),
-            (
-                "kernel",
-                self.coord
-                    .kernel
-                    .map_or(Json::Null, |k| Json::Str(k.name().to_string())),
-            ),
-            (
-                "fault_rate_per_hour",
-                opt_uint(self.coord.fault_rate_per_hour.map(u64::from)),
-            ),
-            (
-                "discipline",
-                self.coord
-                    .discipline
-                    .map_or(Json::Null, |d| Json::Str(discipline_name(d).to_string())),
-            ),
-            (
-                "strategy",
-                self.coord
-                    .strategy
-                    .map_or(Json::Null, |s| Json::Str(s.to_string())),
-            ),
-            (
-                "compromised",
-                opt_uint(self.coord.compromised.map(|n| n as u64)),
-            ),
-            (
-                "loss_permille",
-                opt_uint(self.coord.loss_permille.map(u64::from)),
-            ),
-            ("partition_s", opt_uint(self.coord.partition_s)),
-            (
-                "election",
-                self.coord.election.map_or(Json::Null, Json::Bool),
-            ),
-            (
-                "announce_interval_ms",
-                opt_uint(self.coord.announce_interval_ms),
-            ),
-            ("gm_failure_at_s", opt_uint(self.coord.gm_failure_at_s)),
-            (
-                "rogue_master",
-                opt_uint(self.coord.rogue_master.map(|n| n as u64)),
-            ),
-            ("hops", opt_uint(self.coord.hops.map(u64::from))),
-            (
-                "cross_traffic_pct",
-                opt_uint(self.coord.cross_traffic_pct.map(u64::from)),
-            ),
-            ("asymmetry_ns", opt_uint(self.coord.asymmetry_ns)),
-            ("tc_mode", self.coord.tc_mode.map_or(Json::Null, Json::Bool)),
-            (
-                "topology",
-                self.coord
-                    .topology
-                    .map_or(Json::Null, |t| Json::Str(t.to_string())),
-            ),
-            ("adv_offset_ns", opt_uint(self.coord.adv_offset_ns)),
-            ("fta_f", opt_uint(self.coord.fta_f.map(|f| f as u64))),
-            ("fleet_nodes", opt_uint(self.coord.fleet_nodes.map(u64::from))),
-            (
-                "fleet_topology",
-                self.coord
-                    .fleet_topology
-                    .map_or(Json::Null, |t| Json::Str(t.to_string())),
-            ),
-        ]);
-        let c = &self.counters;
-        let counters = Json::object(vec![
-            ("tx_timestamp_timeouts", Json::UInt(c.tx_timestamp_timeouts)),
-            ("deadline_misses", Json::UInt(c.deadline_misses)),
-            ("vm_failures", Json::UInt(c.vm_failures)),
-            ("gm_failures", Json::UInt(c.gm_failures)),
-            ("takeovers", Json::UInt(c.takeovers)),
-            ("aggregations", Json::UInt(c.aggregations)),
-            ("no_quorum", Json::UInt(c.no_quorum)),
-            ("strikes_succeeded", Json::UInt(c.strikes_succeeded)),
-            ("strikes_failed", Json::UInt(c.strikes_failed)),
-            ("frames_queued", Json::UInt(c.frames_queued)),
-            ("sync_transitions", Json::UInt(c.sync_transitions)),
-            ("holdover_ns", Json::UInt(c.holdover_ns)),
-            ("freerun_ns", Json::UInt(c.freerun_ns)),
-            ("uncovered_failures", Json::UInt(c.uncovered_failures)),
-            ("unhandled_frames", Json::UInt(c.unhandled_frames)),
-            ("announce_tx", Json::UInt(c.announce_tx)),
-            ("elected_gm_changes", Json::UInt(c.elected_gm_changes)),
-            ("reconvergence_ns", Json::UInt(c.reconvergence_ns)),
-            (
-                "fabric_frames_forwarded",
-                Json::UInt(c.fabric_frames_forwarded),
-            ),
-            ("fabric_frames_dropped", Json::UInt(c.fabric_frames_dropped)),
-            ("max_residence_ns", Json::UInt(c.max_residence_ns)),
-            ("path_asymmetry_ns", Json::UInt(c.path_asymmetry_ns)),
-        ]);
-        let b = &self.bounds;
-        let bounds = Json::object(vec![
-            ("d_min_ns", Json::Int(b.d_min_ns)),
-            ("d_max_ns", Json::Int(b.d_max_ns)),
-            ("reading_error_ns", Json::Int(b.reading_error_ns)),
-            ("drift_offset_ns", Json::Int(b.drift_offset_ns)),
-            ("pi_ns", Json::Int(b.pi_ns)),
-            ("gamma_ns", Json::Int(b.gamma_ns)),
-            ("pi_plus_gamma_ns", Json::Int(b.pi_plus_gamma_ns)),
-        ]);
-        let precision = match &self.precision {
-            None => Json::Null,
-            Some(p) => Json::object(vec![
-                ("count", Json::UInt(p.count)),
-                ("mean_ns", Json::Float(p.mean_ns)),
-                ("std_ns", Json::Float(p.std_ns)),
-                ("min_ns", Json::Int(p.min_ns)),
-                ("max_ns", Json::Int(p.max_ns)),
-                ("p50_ns", Json::Int(p.p50_ns)),
-                ("p90_ns", Json::Int(p.p90_ns)),
-                ("p95_ns", Json::Int(p.p95_ns)),
-                ("p99_ns", Json::Int(p.p99_ns)),
-            ]),
-        };
+        let precision = self.precision.as_ref().map_or(Json::Null, precision_json);
         let transitions = Json::Array(
             self.transitions
                 .iter()
@@ -352,10 +224,10 @@ impl RunRecord {
             ("schema", Json::UInt(ARTIFACT_SCHEMA)),
             ("campaign", Json::Str(self.campaign.clone())),
             ("hash", Json::Str(self.hash.clone())),
-            ("coord", coord),
+            ("coord", self.coord.to_json()),
             ("run_seed", Json::UInt(self.seed)),
-            ("counters", counters),
-            ("bounds", bounds),
+            ("counters", counters_json(&self.counters)),
+            ("bounds", bounds_json(&self.bounds)),
             ("precision", precision),
             (
                 "fraction_within_bound",
@@ -374,101 +246,10 @@ impl RunRecord {
         if !(ARTIFACT_SCHEMA_COMPAT..=ARTIFACT_SCHEMA).contains(&schema) {
             return None;
         }
-        let coord_v = v.get("coord")?;
-        let coord = Coord {
-            scenario: ScenarioKind::parse(coord_v.get("scenario")?.as_str()?)?,
-            seed: coord_v.get("seed")?.as_u64()?,
-            domains: opt_field(coord_v, "domains", |x| x.as_u64().map(|m| m as usize))?,
-            sync_interval_ms: opt_field(coord_v, "sync_interval_ms", Json::as_u64)?,
-            kernel: opt_field(coord_v, "kernel", |x| {
-                x.as_str().and_then(KernelChoice::parse)
-            })?,
-            fault_rate_per_hour: opt_field(coord_v, "fault_rate_per_hour", |x| {
-                x.as_u64().and_then(|r| u32::try_from(r).ok())
-            })?,
-            discipline: opt_field(coord_v, "discipline", |x| {
-                x.as_str().and_then(parse_discipline)
-            })?,
-            strategy: opt_field(coord_v, "strategy", |x| {
-                x.as_str().and_then(strategy_static)
-            })?,
-            compromised: opt_field(coord_v, "compromised", |x| x.as_u64().map(|n| n as usize))?,
-            loss_permille: opt_field(coord_v, "loss_permille", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            partition_s: opt_field(coord_v, "partition_s", Json::as_u64)?,
-            election: opt_field(coord_v, "election", Json::as_bool)?,
-            announce_interval_ms: opt_field(coord_v, "announce_interval_ms", Json::as_u64)?,
-            gm_failure_at_s: opt_field(coord_v, "gm_failure_at_s", Json::as_u64)?,
-            rogue_master: opt_field(coord_v, "rogue_master", |x| x.as_u64().map(|n| n as usize))?,
-            hops: opt_field(coord_v, "hops", |x| {
-                x.as_u64().and_then(|h| u32::try_from(h).ok())
-            })?,
-            cross_traffic_pct: opt_field(coord_v, "cross_traffic_pct", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            asymmetry_ns: opt_field(coord_v, "asymmetry_ns", Json::as_u64)?,
-            tc_mode: opt_field(coord_v, "tc_mode", Json::as_bool)?,
-            topology: opt_field(coord_v, "topology", |x| {
-                x.as_str().and_then(crate::spec::topology_static)
-            })?,
-            adv_offset_ns: opt_field(coord_v, "adv_offset_ns", Json::as_u64)?,
-            fta_f: opt_field(coord_v, "fta_f", |x| x.as_u64().map(|f| f as usize))?,
-            fleet_nodes: compat_field(coord_v, "fleet_nodes", |x| {
-                x.as_u64().and_then(|n| u32::try_from(n).ok())
-            })?,
-            fleet_topology: compat_field(coord_v, "fleet_topology", |x| {
-                x.as_str().and_then(crate::spec::fleet_topology_static)
-            })?,
-        };
-        let c = v.get("counters")?;
-        let counters = RunCounters {
-            tx_timestamp_timeouts: c.get("tx_timestamp_timeouts")?.as_u64()?,
-            deadline_misses: c.get("deadline_misses")?.as_u64()?,
-            vm_failures: c.get("vm_failures")?.as_u64()?,
-            gm_failures: c.get("gm_failures")?.as_u64()?,
-            takeovers: c.get("takeovers")?.as_u64()?,
-            aggregations: c.get("aggregations")?.as_u64()?,
-            no_quorum: c.get("no_quorum")?.as_u64()?,
-            strikes_succeeded: c.get("strikes_succeeded")?.as_u64()?,
-            strikes_failed: c.get("strikes_failed")?.as_u64()?,
-            frames_queued: c.get("frames_queued")?.as_u64()?,
-            sync_transitions: c.get("sync_transitions")?.as_u64()?,
-            holdover_ns: c.get("holdover_ns")?.as_u64()?,
-            freerun_ns: c.get("freerun_ns")?.as_u64()?,
-            uncovered_failures: c.get("uncovered_failures")?.as_u64()?,
-            unhandled_frames: c.get("unhandled_frames")?.as_u64()?,
-            announce_tx: c.get("announce_tx")?.as_u64()?,
-            elected_gm_changes: c.get("elected_gm_changes")?.as_u64()?,
-            reconvergence_ns: c.get("reconvergence_ns")?.as_u64()?,
-            fabric_frames_forwarded: c.get("fabric_frames_forwarded")?.as_u64()?,
-            fabric_frames_dropped: c.get("fabric_frames_dropped")?.as_u64()?,
-            max_residence_ns: c.get("max_residence_ns")?.as_u64()?,
-            path_asymmetry_ns: c.get("path_asymmetry_ns")?.as_u64()?,
-        };
-        let b = v.get("bounds")?;
-        let bounds = BoundsRecord {
-            d_min_ns: b.get("d_min_ns")?.as_i64()?,
-            d_max_ns: b.get("d_max_ns")?.as_i64()?,
-            reading_error_ns: b.get("reading_error_ns")?.as_i64()?,
-            drift_offset_ns: b.get("drift_offset_ns")?.as_i64()?,
-            pi_ns: b.get("pi_ns")?.as_i64()?,
-            gamma_ns: b.get("gamma_ns")?.as_i64()?,
-            pi_plus_gamma_ns: b.get("pi_plus_gamma_ns")?.as_i64()?,
-        };
+        let coord = Coord::from_json(v.get("coord")?, schema)?;
         let precision = match v.get("precision")? {
             Json::Null => None,
-            p => Some(PrecisionRecord {
-                count: p.get("count")?.as_u64()?,
-                mean_ns: p.get("mean_ns")?.as_f64()?,
-                std_ns: p.get("std_ns")?.as_f64()?,
-                min_ns: p.get("min_ns")?.as_i64()?,
-                max_ns: p.get("max_ns")?.as_i64()?,
-                p50_ns: p.get("p50_ns")?.as_i64()?,
-                p90_ns: p.get("p90_ns")?.as_i64()?,
-                p95_ns: p.get("p95_ns")?.as_i64()?,
-                p99_ns: p.get("p99_ns")?.as_i64()?,
-            }),
+            p => Some(precision_of(p)?),
         };
         let transitions = v
             .get("transitions")?
@@ -489,8 +270,8 @@ impl RunRecord {
             hash: v.get("hash")?.as_str()?.to_string(),
             coord,
             seed: v.get("run_seed")?.as_u64()?,
-            counters,
-            bounds,
+            counters: counters_of(v.get("counters")?)?,
+            bounds: bounds_of(v.get("bounds")?)?,
             precision,
             fraction_within_bound: v.get("fraction_within_bound")?.as_f64()?,
             transitions,
@@ -519,28 +300,80 @@ impl RunRecord {
     }
 }
 
-fn opt_uint(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
+/// The JSON codec of a flat record section: an encoder and a decoder
+/// over the same field list, in key order. The decoder builds the
+/// struct from every field, so a field missing from the list fails to
+/// compile.
+macro_rules! section_codec {
+    ($encode:ident, $decode:ident, $ty:ident { $($field:ident: $variant:ident($get:ident)),* $(,)? }) => {
+        fn $encode(s: &$ty) -> Json {
+            Json::object(vec![$((stringify!($field), Json::$variant(s.$field)),)*])
+        }
+
+        fn $decode(v: &Json) -> Option<$ty> {
+            Some($ty { $($field: v.get(stringify!($field))?.$get()?,)* })
+        }
+    };
 }
 
-/// Reads an optional coordinate field: `null` → `Some(None)`, a valid
-/// value → `Some(Some(v))`, anything else → `None` (decode failure).
-fn opt_field<T>(obj: &Json, key: &str, f: impl Fn(&Json) -> Option<T>) -> Option<Option<T>> {
-    match obj.get(key)? {
-        Json::Null => Some(None),
-        v => f(v).map(Some),
+section_codec!(
+    counters_json,
+    counters_of,
+    RunCounters {
+        tx_timestamp_timeouts: UInt(as_u64),
+        deadline_misses: UInt(as_u64),
+        vm_failures: UInt(as_u64),
+        gm_failures: UInt(as_u64),
+        takeovers: UInt(as_u64),
+        aggregations: UInt(as_u64),
+        no_quorum: UInt(as_u64),
+        strikes_succeeded: UInt(as_u64),
+        strikes_failed: UInt(as_u64),
+        frames_queued: UInt(as_u64),
+        sync_transitions: UInt(as_u64),
+        holdover_ns: UInt(as_u64),
+        freerun_ns: UInt(as_u64),
+        uncovered_failures: UInt(as_u64),
+        unhandled_frames: UInt(as_u64),
+        announce_tx: UInt(as_u64),
+        elected_gm_changes: UInt(as_u64),
+        reconvergence_ns: UInt(as_u64),
+        fabric_frames_forwarded: UInt(as_u64),
+        fabric_frames_dropped: UInt(as_u64),
+        max_residence_ns: UInt(as_u64),
+        path_asymmetry_ns: UInt(as_u64),
     }
-}
+);
 
-/// Like [`opt_field`], but tolerates an *absent* key: coordinate axes
-/// added after [`ARTIFACT_SCHEMA_COMPAT`] are missing from older
-/// records, and decode as `None` rather than failing the record.
-fn compat_field<T>(obj: &Json, key: &str, f: impl Fn(&Json) -> Option<T>) -> Option<Option<T>> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Some(None),
-        Some(v) => f(v).map(Some),
+section_codec!(
+    bounds_json,
+    bounds_of,
+    BoundsRecord {
+        d_min_ns: Int(as_i64),
+        d_max_ns: Int(as_i64),
+        reading_error_ns: Int(as_i64),
+        drift_offset_ns: Int(as_i64),
+        pi_ns: Int(as_i64),
+        gamma_ns: Int(as_i64),
+        pi_plus_gamma_ns: Int(as_i64),
     }
-}
+);
+
+section_codec!(
+    precision_json,
+    precision_of,
+    PrecisionRecord {
+        count: UInt(as_u64),
+        mean_ns: Float(as_f64),
+        std_ns: Float(as_f64),
+        min_ns: Int(as_i64),
+        max_ns: Int(as_i64),
+        p50_ns: Int(as_i64),
+        p90_ns: Int(as_i64),
+        p95_ns: Int(as_i64),
+        p99_ns: Int(as_i64),
+    }
+);
 
 fn quantile_ns(result: &RunResult, q: f64) -> i64 {
     result.series.quantile(q).map(|n| n.as_nanos()).unwrap_or(0)
@@ -549,6 +382,8 @@ fn quantile_ns(result: &RunResult, q: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::KernelChoice;
+    use clocksync::scenario::ScenarioKind;
     use tsn_hyp::SyncClockDiscipline;
 
     fn record() -> RunRecord {
@@ -556,30 +391,14 @@ mod tests {
             campaign: "t".to_string(),
             hash: "00ff".to_string(),
             coord: Coord {
-                scenario: ScenarioKind::Baseline,
-                seed: 42,
                 domains: Some(5),
-                sync_interval_ms: None,
                 kernel: Some(KernelChoice::Diverse),
-                fault_rate_per_hour: None,
                 discipline: Some(SyncClockDiscipline::FeedForward),
                 strategy: Some("trim-edge"),
-                compromised: Some(2),
-                loss_permille: Some(20),
-                partition_s: None,
                 election: Some(true),
-                announce_interval_ms: Some(250),
-                gm_failure_at_s: None,
-                rogue_master: Some(1),
-                hops: Some(3),
-                cross_traffic_pct: Some(30),
-                asymmetry_ns: None,
-                tc_mode: Some(true),
-                topology: Some("ring"),
-                adv_offset_ns: Some(20_000),
-                fta_f: Some(2),
                 fleet_nodes: Some(256),
                 fleet_topology: Some("fat-tree"),
+                ..Coord::new(ScenarioKind::Baseline, 42)
             },
             seed: u64::MAX - 3,
             counters: RunCounters::default(),

@@ -1,167 +1,26 @@
 //! Deterministic expansion of a [`CampaignSpec`] into concrete runs.
 //!
-//! The matrix is the cross product of the spec's axes, in a fixed
-//! nesting order. Each run's seed is derived with the workspace's
-//! splittable hashing ([`SeedSplitter`]): the grid seed is the master
-//! and the remaining coordinates form the label, so a run's seed — and
-//! therefore its result — is a pure function of its coordinate,
-//! independent of enumeration order and of how many worker threads
-//! execute the campaign. Each run also gets a content hash over the
-//! base configuration and coordinate, which names its artifact and
-//! keys resume.
+//! The matrix is the cross product of the spec's axes, in the fixed
+//! order of their declarations ([`crate::axes`]). Each run's seed is
+//! derived with the workspace's splittable hashing ([`SeedSplitter`]):
+//! the grid seed is the master and the prefix-relevant coordinates form
+//! the label, so a run's seed — and therefore its result — is a pure
+//! function of its coordinate, independent of enumeration order and of
+//! how many worker threads execute the campaign. Each run also gets a
+//! content hash over the base configuration and coordinate, which names
+//! its artifact and keys resume.
 
-use crate::spec::{strategy_static, BaseSpec, CampaignSpec, KernelChoice, SpecError};
-use clocksync::scenario::ScenarioKind;
+pub use crate::axes::Coord;
+use crate::spec::{BaseSpec, CampaignSpec, KernelChoice, SpecError};
 use clocksync::TestbedConfig;
 use tsn_faults::{
     AttackPlan, ByzantineStrategy, CveId, InjectorConfig, KernelAssignment, Strike,
     PAPER_POT_OFFSET,
 };
-use tsn_hyp::SyncClockDiscipline;
 use tsn_netsim::{LinkFaultPlan, SeedSplitter};
 use tsn_time::{Nanos, SimTime};
 
-/// One point of the campaign grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Coord {
-    /// The scenario.
-    pub scenario: ScenarioKind,
-    /// The grid seed (replication axis).
-    pub seed: u64,
-    /// Domain count M, if the axis is active.
-    pub domains: Option<usize>,
-    /// Sync interval S in ms, if the axis is active.
-    pub sync_interval_ms: Option<u64>,
-    /// Kernel assignment override, if the axis is active.
-    pub kernel: Option<KernelChoice>,
-    /// Injector rate (random shutdowns per node per hour), if active.
-    pub fault_rate_per_hour: Option<u32>,
-    /// Clock discipline override, if the axis is active.
-    pub discipline: Option<SyncClockDiscipline>,
-    /// Adversary strategy preset name ([`ByzantineStrategy::NAMES`]
-    /// spelling, interned via [`strategy_static`]), if the axis is
-    /// active.
-    pub strategy: Option<&'static str>,
-    /// Number of compromised GM domains, if the axis is active.
-    pub compromised: Option<usize>,
-    /// Per-link i.i.d. loss in permille, if the axis is active.
-    pub loss_permille: Option<u32>,
-    /// Partition duration in seconds (node 0, from +2 s), if active.
-    pub partition_s: Option<u64>,
-    /// Dynamic BMCA election override, if the axis is active (`None`
-    /// defers to the family rule — see [`Coord::election_active`]).
-    pub election: Option<bool>,
-    /// Announce interval in ms, if the axis is active.
-    pub announce_interval_ms: Option<u64>,
-    /// Scheduled GM kill time (seconds after warm-up), if active.
-    pub gm_failure_at_s: Option<u64>,
-    /// Rogue-master count, if the axis is active.
-    pub rogue_master: Option<usize>,
-    /// Fabric depth (hops through the line of TSN switches), if the
-    /// axis is active (activates the fabric — see
-    /// [`Coord::fabric_active`]).
-    pub hops: Option<u32>,
-    /// Best-effort cross-traffic load on each fabric egress port, in
-    /// percent of the gate-open window, if the axis is active
-    /// (activates the fabric).
-    pub cross_traffic_pct: Option<u32>,
-    /// Directional link-delay asymmetry per fabric hop in nanoseconds,
-    /// if the axis is active (activates the fabric).
-    pub asymmetry_ns: Option<u64>,
-    /// Transparent-clock mode: `true` accumulates per-hop residence
-    /// into the gPTP correction field, `false` exposes the raw
-    /// end-to-end queuing error. Activates the fabric.
-    pub tc_mode: Option<bool>,
-    /// Fabric topology name ([`crate::spec::TOPOLOGY_NAMES`] spelling,
-    /// interned via [`crate::spec::topology_static`]), if the axis is
-    /// active (activates the fabric).
-    pub topology: Option<&'static str>,
-    /// Adversary shift magnitude in nanoseconds, if the axis is active:
-    /// replaces the strategy preset's dominant waveform parameter
-    /// ([`ByzantineStrategy::with_magnitude`]; activates the attack).
-    pub adv_offset_ns: Option<u64>,
-    /// Aggregation trim degree `f` override, if the axis is active.
-    pub fta_f: Option<usize>,
-    /// Fleet size (ECDs attached to the generated switch fleet), if the
-    /// axis is active (activates the fleet — see
-    /// [`Coord::fleet_active`] — and thereby the fabric).
-    pub fleet_nodes: Option<u32>,
-    /// Fleet topology name ([`crate::spec::FLEET_TOPOLOGY_NAMES`]
-    /// spelling, interned via [`crate::spec::fleet_topology_static`]),
-    /// if the axis is active (activates the fleet).
-    pub fleet_topology: Option<&'static str>,
-}
-
 impl Coord {
-    /// The canonical label of this coordinate (stable across releases;
-    /// seeds and hashes are derived from it).
-    pub fn label(&self) -> String {
-        fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-            v.map_or_else(|| "-".to_string(), |v| v.to_string())
-        }
-        let mut label = format!(
-            "scenario={}/seed={}/domains={}/sync_ms={}/kernel={}/rate={}/discipline={}/strategy={}/byz={}/loss_pm={}/partition_s={}",
-            self.scenario.name(),
-            self.seed,
-            opt(self.domains),
-            opt(self.sync_interval_ms),
-            opt(self.kernel.map(KernelChoice::name)),
-            opt(self.fault_rate_per_hour),
-            opt(self.discipline.map(crate::spec::discipline_name)),
-            opt(self.strategy),
-            opt(self.compromised),
-            opt(self.loss_permille),
-            opt(self.partition_s),
-        );
-        // Election segments appear only when their axis is active, so
-        // labels — and the hashes and seeds derived from them — of
-        // campaigns that never touch the election axes are unchanged.
-        if let Some(e) = self.election {
-            label.push_str(&format!("/election={e}"));
-        }
-        if let Some(ms) = self.announce_interval_ms {
-            label.push_str(&format!("/announce_ms={ms}"));
-        }
-        if let Some(s) = self.gm_failure_at_s {
-            label.push_str(&format!("/gm_kill_s={s}"));
-        }
-        if let Some(r) = self.rogue_master {
-            label.push_str(&format!("/rogue={r}"));
-        }
-        // Fabric segments follow the same rule: absent axes render the
-        // pre-fabric label, so existing campaign hashes are unchanged.
-        if let Some(h) = self.hops {
-            label.push_str(&format!("/hops={h}"));
-        }
-        if let Some(p) = self.cross_traffic_pct {
-            label.push_str(&format!("/xload_pct={p}"));
-        }
-        if let Some(a) = self.asymmetry_ns {
-            label.push_str(&format!("/asym_ns={a}"));
-        }
-        if let Some(t) = self.tc_mode {
-            label.push_str(&format!("/tc={t}"));
-        }
-        if let Some(t) = self.topology {
-            label.push_str(&format!("/topo={t}"));
-        }
-        // Frontier segments (PR 9), same label-conditional rule.
-        if let Some(a) = self.adv_offset_ns {
-            label.push_str(&format!("/adv_ns={a}"));
-        }
-        if let Some(f) = self.fta_f {
-            label.push_str(&format!("/fta_f={f}"));
-        }
-        // Fleet segments (PR 10), same label-conditional rule.
-        if let Some(n) = self.fleet_nodes {
-            label.push_str(&format!("/fleet_n={n}"));
-        }
-        if let Some(t) = self.fleet_topology {
-            label.push_str(&format!("/fleet_topo={t}"));
-        }
-        label
-    }
-
     /// Whether this coordinate runs behind the multi-hop switch fabric:
     /// any active fabric axis (`hops`, `cross_traffic_pct`,
     /// `asymmetry_ns`, `tc_mode`, `topology`) activates it, with the
@@ -293,6 +152,39 @@ impl Coord {
     }
 }
 
+/// One run's identity: its position, coordinate, derived seed and
+/// content hash. This is all `manifest.json` records, and all that
+/// resume and artifact reads need — no configuration is built.
+#[derive(Debug, Clone)]
+pub(crate) struct RunId {
+    /// Position in the canonical enumeration order.
+    pub index: usize,
+    /// The grid coordinate.
+    pub coord: Coord,
+    /// The derived seed ([`Coord::derived_seed`]).
+    pub seed: u64,
+    /// Content hash over base + coordinate (hex, names the artifact).
+    pub hash: String,
+}
+
+impl RunId {
+    /// Materializes the run: builds its testbed configuration, generating
+    /// its switch fleet if it has one.
+    ///
+    /// # Errors
+    ///
+    /// See [`materialize`].
+    pub fn materialize(&self, base: &BaseSpec) -> Result<RunPlan, SpecError> {
+        Ok(RunPlan {
+            index: self.index,
+            coord: self.coord,
+            seed: self.seed,
+            hash: self.hash.clone(),
+            config: materialize(base, self.coord, self.seed)?,
+        })
+    }
+}
+
 /// One fully materialized run of a campaign.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
@@ -308,195 +200,43 @@ pub struct RunPlan {
     pub config: TestbedConfig,
 }
 
-/// Expands a spec into its run matrix, in canonical order.
+/// Enumerates a spec's runs in canonical order without materializing
+/// them: scenarios outermost, then the axes in declaration order
+/// ([`crate::axes`]), seeds innermost.
 ///
 /// # Errors
 ///
 /// Returns the [`SpecError`] of [`CampaignSpec::validate`] when the spec
 /// is invalid (untrusted input never panics; the CLI maps this to
 /// exit 2).
-pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunPlan>, SpecError> {
+pub(crate) fn enumerate(spec: &CampaignSpec) -> Result<Vec<RunId>, SpecError> {
     spec.validate()?;
     let base_fingerprint = spec.base.to_fingerprint();
-    let mut plans = Vec::with_capacity(spec.total_runs());
-    // Fixed nesting: scenario, then the sweep axes, seeds innermost so
-    // progress interleaves replications of the same grid point last.
-    let strategies: Vec<&'static str> = spec
+    Ok(spec
         .grid
-        .strategies
-        .iter()
-        .map(|s| {
-            strategy_static(s)
-                .ok_or_else(|| SpecError::Value("grid.strategies[]".to_string(), s.clone()))
+        .coords(&spec.scenarios)?
+        .into_iter()
+        .enumerate()
+        .map(|(index, coord)| RunId {
+            index,
+            seed: coord.derived_seed(),
+            hash: content_hash(&base_fingerprint, &coord),
+            coord,
         })
-        .collect::<Result<_, _>>()?;
-    let topologies: Vec<&'static str> = spec
-        .grid
-        .topology
-        .iter()
-        .map(|t| {
-            crate::spec::topology_static(t)
-                .ok_or_else(|| SpecError::Value("grid.topology[]".to_string(), t.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let fleet_topologies: Vec<&'static str> = spec
-        .grid
-        .fleet_topology
-        .iter()
-        .map(|t| {
-            crate::spec::fleet_topology_static(t)
-                .ok_or_else(|| SpecError::Value("grid.fleet_topology[]".to_string(), t.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    for &scenario in &spec.scenarios {
-        for &domains in &axis(&spec.grid.domains) {
-            for &sync_ms in &axis(&spec.grid.sync_interval_ms) {
-                for &kernel in &axis(&spec.grid.kernels) {
-                    for &rate in &axis(&spec.grid.fault_rate_per_hour) {
-                        for &discipline in &axis(&spec.grid.disciplines) {
-                            for &strategy in &axis(&strategies) {
-                                for &compromised in &axis(&spec.grid.compromised) {
-                                    for &loss_permille in &axis(&spec.grid.loss_permille) {
-                                        for &partition_s in &axis(&spec.grid.partition_s) {
-                                            for &election in &axis(&spec.grid.election) {
-                                                for &announce in
-                                                    &axis(&spec.grid.announce_interval_ms)
-                                                {
-                                                    for &gm_kill in
-                                                        &axis(&spec.grid.gm_failure_at_s)
-                                                    {
-                                                        for &rogue in &axis(&spec.grid.rogue_master)
-                                                        {
-                                                            expand_fabric(
-                                                                spec,
-                                                                &base_fingerprint,
-                                                                Coord {
-                                                                    scenario,
-                                                                    seed: 0,
-                                                                    domains,
-                                                                    sync_interval_ms: sync_ms,
-                                                                    kernel,
-                                                                    fault_rate_per_hour: rate,
-                                                                    discipline,
-                                                                    strategy,
-                                                                    compromised,
-                                                                    loss_permille,
-                                                                    partition_s,
-                                                                    election,
-                                                                    announce_interval_ms: announce,
-                                                                    gm_failure_at_s: gm_kill,
-                                                                    rogue_master: rogue,
-                                                                    hops: None,
-                                                                    cross_traffic_pct: None,
-                                                                    asymmetry_ns: None,
-                                                                    tc_mode: None,
-                                                                    topology: None,
-                                                                    adv_offset_ns: None,
-                                                                    fta_f: None,
-                                                                    fleet_nodes: None,
-                                                                    fleet_topology: None,
-                                                                },
-                                                                &topologies,
-                                                                &fleet_topologies,
-                                                                &mut plans,
-                                                            )?;
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(plans)
+        .collect())
 }
 
-/// The innermost loops of [`expand`]: the fabric axes and the seeds
-/// (still innermost), split out so the nesting stays readable. The
-/// partial coordinate carries every outer axis; its placeholder seed is
-/// overwritten here.
-fn expand_fabric(
-    spec: &CampaignSpec,
-    base_fingerprint: &str,
-    partial: Coord,
-    topologies: &[&'static str],
-    fleet_topologies: &[&'static str],
-    plans: &mut Vec<RunPlan>,
-) -> Result<(), SpecError> {
-    for &hops in &axis(&spec.grid.hops) {
-        for &cross_traffic_pct in &axis(&spec.grid.cross_traffic_pct) {
-            for &asymmetry_ns in &axis(&spec.grid.asymmetry_ns) {
-                for &tc_mode in &axis(&spec.grid.tc_mode) {
-                    for &topology in &axis(topologies) {
-                        for &adv_offset_ns in &axis(&spec.grid.adv_offset_ns) {
-                            for &fta_f in &axis(&spec.grid.fta_f) {
-                                for &fleet_nodes in &axis(&spec.grid.fleet_nodes) {
-                                    for &fleet_topology in &axis(fleet_topologies) {
-                                        for &seed in &spec.grid.seeds {
-                                            let coord = Coord {
-                                                seed,
-                                                hops,
-                                                cross_traffic_pct,
-                                                asymmetry_ns,
-                                                tc_mode,
-                                                topology,
-                                                adv_offset_ns,
-                                                fta_f,
-                                                fleet_nodes,
-                                                fleet_topology,
-                                                ..partial
-                                            };
-                                            plans.push(plan(
-                                                &spec.base,
-                                                base_fingerprint,
-                                                coord,
-                                                plans.len(),
-                                            )?);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// An axis as its `Some`-wrapped values, or a single `None` when the
-/// axis is inactive (empty). Axes are tiny, so the allocation is noise.
-fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-    if values.is_empty() {
-        vec![None]
-    } else {
-        values.iter().map(|&v| Some(v)).collect()
-    }
-}
-
-fn plan(
-    base: &BaseSpec,
-    base_fingerprint: &str,
-    coord: Coord,
-    index: usize,
-) -> Result<RunPlan, SpecError> {
-    let seed = coord.derived_seed();
-    let config = materialize(base, coord, seed)?;
-    let hash = content_hash(base_fingerprint, &coord);
-    Ok(RunPlan {
-        index,
-        coord,
-        seed,
-        hash,
-        config,
-    })
+/// Expands a spec into its materialized run matrix, in canonical order
+/// ([`enumerate`], then [`RunId::materialize`] for every run).
+///
+/// # Errors
+///
+/// As [`enumerate`].
+pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunPlan>, SpecError> {
+    enumerate(spec)?
+        .iter()
+        .map(|id| id.materialize(&spec.base))
+        .collect()
 }
 
 /// Materializes the testbed configuration of one grid point.
@@ -643,8 +383,11 @@ pub fn materialize(
             let shape = clocksync::fabric::FleetShape::parse(shape_name).ok_or_else(|| {
                 SpecError::Value("grid.fleet_topology[]".to_string(), shape_name.to_string())
             })?;
-            let nodes = coord.fleet_nodes.unwrap_or(crate::spec::DEFAULT_FLEET_NODES);
-            let fleet = clocksync::fabric::FleetTopology::generate(nodes, shape, coord.fleet_seed());
+            let nodes = coord
+                .fleet_nodes
+                .unwrap_or(crate::spec::DEFAULT_FLEET_NODES);
+            let fleet =
+                clocksync::fabric::FleetTopology::generate(nodes, shape, coord.fleet_seed());
             fleet.condense(&clocksync::fabric::FabricConfig::default())
         } else {
             let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops.unwrap_or(1));
@@ -696,6 +439,8 @@ pub fn content_hash(base_fingerprint: &str, coord: &Coord) -> String {
 mod tests {
     use super::*;
     use crate::spec::Grid;
+    use clocksync::scenario::ScenarioKind;
+    use tsn_hyp::SyncClockDiscipline;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -773,30 +518,8 @@ mod tests {
     fn materialize_rejects_unknown_strategy_without_panicking() {
         let base = BaseSpec::quick(10);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
             strategy: Some("no-such-strategy"),
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         let err = materialize(&base, coord, 7).expect_err("unknown strategy is an error");
         assert!(matches!(err, SpecError::Value(ref f, ref v)
@@ -809,30 +532,9 @@ mod tests {
     fn election_axes_materialize_with_the_family_rule() {
         let base = BaseSpec::quick(30);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
             gm_failure_at_s: Some(10),
             rogue_master: Some(1),
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // Any election axis activates the election implicitly.
         assert!(coord.election_active());
@@ -854,16 +556,14 @@ mod tests {
         let cfg = materialize(&base, coord, 7).expect("valid coord");
         assert!(cfg.election.is_none());
         assert!(cfg.attack.strikes().is_empty());
-        // The election segments are label-conditional: a coordinate
-        // without election axes renders the pre-election label, so
-        // hashes of existing campaigns are unchanged.
+        // The election's prefix segment renders only when it is active,
+        // so derived seeds of campaigns without election axes are
+        // unchanged.
         coord.election = None;
         coord.gm_failure_at_s = None;
         coord.rogue_master = None;
-        assert!(!coord.label().contains("election"));
         assert!(!coord.prefix_label().contains("election"));
         coord.gm_failure_at_s = Some(10);
-        assert!(coord.label().ends_with("/gm_kill_s=10"));
         assert!(coord
             .prefix_label()
             .ends_with("/election=on/announce_ms=250"));
@@ -873,30 +573,10 @@ mod tests {
     fn fabric_axes_materialize_with_the_family_rule() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
             hops: Some(3),
             cross_traffic_pct: Some(30),
-            asymmetry_ns: None,
             tc_mode: Some(true),
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         assert!(coord.fabric_active());
         let cfg = materialize(&base, coord, 7).expect("valid coord");
@@ -914,19 +594,17 @@ mod tests {
         assert_eq!(fabric.hops, 1);
         assert_eq!(fabric.asymmetry_ns, Nanos::from_nanos(200));
         assert!(!fabric.transparent_clock);
-        // The fabric segments are label-conditional: a coordinate
-        // without fabric axes renders the pre-fabric label (and no
-        // fabric config), so hashes of existing campaigns are unchanged.
+        // Without fabric axes there is no fabric config and no fabric
+        // prefix segment, so derived seeds of existing campaigns are
+        // unchanged.
         coord.asymmetry_ns = None;
         assert!(!coord.fabric_active());
         assert!(materialize(&base, coord, 7)
             .expect("valid coord")
             .fabric
             .is_none());
-        assert!(!coord.label().contains("hops"));
         assert!(!coord.prefix_label().contains("fabric"));
         coord.hops = Some(6);
-        assert!(coord.label().ends_with("/hops=6"));
         assert!(coord
             .prefix_label()
             .ends_with("/fabric=on/hops=6/xload_pct=0/asym_ns=0/tc=false"));
@@ -936,30 +614,9 @@ mod tests {
     fn fleet_axes_materialize_and_stay_label_conditional() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
             fleet_nodes: Some(256),
             fleet_topology: Some("fat-tree"),
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // Fleet axes activate the fabric with a condensed generated
         // topology: shape maps into the fabric's coarse topology enum,
@@ -993,17 +650,15 @@ mod tests {
         let mut bigger = coord;
         bigger.fleet_nodes = Some(1024);
         assert_ne!(a, bigger.fleet_seed());
-        // Labels are conditional: without fleet axes nothing renders
-        // (hashes of pre-fleet campaigns are unchanged); with them both
-        // label and prefix carry the effective values.
-        assert!(coord.label().ends_with("/fleet_n=256/fleet_topo=fat-tree"));
+        // The prefix is conditional: without fleet axes nothing renders
+        // (derived seeds of pre-fleet campaigns are unchanged); with
+        // them it carries the effective values.
         assert!(coord
             .prefix_label()
             .ends_with("/fleet=on/n=256/topo=fat-tree"));
         coord.fleet_nodes = None;
         coord.fleet_topology = None;
         assert!(!coord.fleet_active());
-        assert!(!coord.label().contains("fleet"));
         assert!(!coord.prefix_label().contains("fleet"));
         assert!(materialize(&base, coord, 7)
             .expect("valid coord")
@@ -1015,30 +670,8 @@ mod tests {
     fn frontier_axes_materialize_and_stay_label_conditional() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
             adv_offset_ns: Some(20_000),
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // The magnitude axis alone activates the attack (constant preset
         // rescaled to the probe value).
@@ -1074,25 +707,16 @@ mod tests {
         let fabric = cfg.fabric.expect("fabric on");
         assert_eq!(fabric.topology, clocksync::fabric::FabricTopology::Ring);
         assert_eq!(fabric.hops, 1);
-        // Labels: all three segments render; the magnitude is
-        // intervention-only (shared warm prefix per cell) while the trim
-        // degree and topology are prefix-relevant.
-        assert!(coord.label().ends_with("/topo=ring/adv_ns=20000/fta_f=0"));
+        // The magnitude is intervention-only (shared warm prefix per
+        // cell) while the trim degree and topology are prefix-relevant.
         let prefix = coord.prefix_label();
         assert!(prefix.contains("/fta_f=0"));
         assert!(prefix.ends_with("/topo=ring"));
         assert!(!prefix.contains("adv_ns"));
-        // Label-conditional: clearing the axes restores the pre-frontier
-        // label and prefix, so existing campaign hashes and derived
-        // seeds are unchanged.
-        coord.strategy = None;
-        coord.compromised = None;
+        // Clearing the axes restores the pre-frontier prefix, so derived
+        // seeds of existing campaigns are unchanged.
         coord.topology = None;
-        coord.adv_offset_ns = None;
         coord.fta_f = None;
-        assert!(!coord.label().contains("adv_ns"));
-        assert!(!coord.label().contains("fta_f"));
-        assert!(!coord.label().contains("topo"));
         assert!(!coord.prefix_label().contains("fta_f"));
         assert!(!coord.prefix_label().contains("topo"));
     }
@@ -1101,30 +725,8 @@ mod tests {
     fn partition_axis_uses_shared_window_schedule() {
         let base = BaseSpec::quick(10);
         let coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
             partition_s: Some(3),
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         let cfg = materialize(&base, coord, 7).expect("valid coord");
         assert_eq!(cfg.partition, Some(crate::spec::partition_window(3)));

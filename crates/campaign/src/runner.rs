@@ -15,7 +15,7 @@
 //! silently reused.
 
 use crate::artifact::RunRecord;
-use crate::matrix::{expand, RunPlan};
+use crate::matrix::{enumerate, RunId, RunPlan};
 use crate::profile::ProfileEntry;
 use crate::spec::CampaignSpec;
 use clocksync::snapshot::{checkpoint_time, warm_prefix_config, warm_prefix_fingerprint};
@@ -222,9 +222,22 @@ pub fn execute_with(
     cache: &mut SnapshotCache,
     write_manifest: bool,
 ) -> io::Result<CampaignReport> {
-    let plans = expand(spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
+    let ids = enumerate(spec).map_err(invalid_spec)?;
     let runs_dir = opts.dir.join("runs");
+
+    // Partition into resumable and pending runs, and materialize only the
+    // pending ones (resumed runs never need a configuration, so a resume
+    // generates no fleets). Nothing is written before this point, so a
+    // spec that fails to materialize leaves no file behind.
+    let mut records: Vec<Option<RunRecord>> = Vec::with_capacity(ids.len());
+    let mut pending: Vec<RunPlan> = Vec::new();
+    for id in &ids {
+        let record = resume_record(&runs_dir, id);
+        if record.is_none() {
+            pending.push(id.materialize(&spec.base).map_err(invalid_spec)?);
+        }
+        records.push(record);
+    }
     std::fs::create_dir_all(&runs_dir)?;
     if let Some(trace_dir) = &opts.trace {
         std::fs::create_dir_all(trace_dir)?;
@@ -232,28 +245,17 @@ pub fn execute_with(
     if write_manifest {
         write_atomic(
             &opts.dir.join("manifest.json"),
-            &manifest(spec, &plans).render(),
+            &manifest(spec, &ids).render(),
         )?;
     }
-
-    // Partition into resumable and pending runs. An artifact that exists
-    // but does not decode (truncated write, bit rot, stale schema) is
-    // quarantined to `runs/corrupt/` and its run re-executed — a damaged
-    // file must never abort or poison a resume.
-    let mut records: Vec<Option<RunRecord>> = Vec::with_capacity(plans.len());
-    let mut pending: Vec<&RunPlan> = Vec::new();
+    // An artifact that exists but does not decode (truncated write, bit
+    // rot, stale schema) is quarantined to `runs/corrupt/` and its run
+    // re-executed — a damaged file must never abort or poison a resume.
     let mut quarantined = 0usize;
-    for plan in &plans {
-        match resume_record(&runs_dir, plan) {
-            Some(record) => records.push(Some(record)),
-            None => {
-                if artifact_path(&runs_dir, plan).exists() {
-                    quarantine(&runs_dir, plan)?;
-                    quarantined += 1;
-                }
-                records.push(None);
-                pending.push(plan);
-            }
+    for plan in &pending {
+        if artifact_path(&runs_dir, &plan.hash).exists() {
+            quarantine(&runs_dir, &plan.hash)?;
+            quarantined += 1;
         }
     }
     if quarantined > 0 && !opts.quiet {
@@ -262,7 +264,7 @@ pub fn execute_with(
             runs_dir.join("corrupt").display()
         );
     }
-    let skipped = plans.len() - pending.len();
+    let skipped = ids.len() - pending.len();
     let threads = opts.effective_threads(pending.len());
 
     // Fork mode: group pending runs whose configurations project to the
@@ -419,7 +421,9 @@ pub fn execute_with(
                         }
                     };
                     let wall_s = started.elapsed().as_secs_f64();
-                    if let Err(e) = write_record_atomic(&artifact_path(&runs_dir, plan), &record) {
+                    if let Err(e) =
+                        write_record_atomic(&artifact_path(&runs_dir, &plan.hash), &record)
+                    {
                         let mut slot = io_error.lock().expect("io_error lock");
                         slot.get_or_insert(e);
                         break;
@@ -496,16 +500,16 @@ pub fn execute_with(
     let executed = pending.len() - failed.len();
     // Failed runs have no record (and no artifact, so resume retries
     // them); any other hole is an internal error.
-    let records = plans
+    let records = ids
         .iter()
         .zip(records)
-        .filter(|(plan, record)| record.is_some() || !failed.iter().any(|f| f.index == plan.index))
-        .map(|(plan, record)| {
+        .filter(|(id, record)| record.is_some() || !failed.iter().any(|f| f.index == id.index))
+        .map(|(id, record)| {
             record.ok_or_else(|| {
                 io::Error::other(format!(
                     "run {} produced no artifact (expected {})",
-                    plan.coord.label(),
-                    artifact_path(&runs_dir, plan).display()
+                    id.coord.label(),
+                    artifact_path(&runs_dir, &id.hash).display()
                 ))
             })
         })
@@ -579,26 +583,24 @@ fn run_one(
 /// size. Yields an error for a missing or unreadable artifact (the
 /// campaign must be `run` to completion first).
 pub struct RunRecordReader {
-    plans: std::vec::IntoIter<RunPlan>,
+    ids: std::vec::IntoIter<RunId>,
     runs_dir: PathBuf,
 }
 
 impl RunRecordReader {
     /// Opens a campaign directory for streaming reads. Fails only on an
     /// invalid spec; per-record problems surface from the iterator.
+    /// Runs are enumerated, never materialized.
     pub fn open(spec: &CampaignSpec, dir: &Path) -> io::Result<RunRecordReader> {
-        let plans = expand(spec).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}"))
-        })?;
         Ok(RunRecordReader {
-            plans: plans.into_iter(),
+            ids: enumerate(spec).map_err(invalid_spec)?.into_iter(),
             runs_dir: dir.join("runs"),
         })
     }
 
     /// Records remaining to be yielded.
     pub fn len(&self) -> usize {
-        self.plans.as_slice().len()
+        self.ids.as_slice().len()
     }
 
     /// `true` when the reader is exhausted (or the campaign is empty).
@@ -611,14 +613,14 @@ impl Iterator for RunRecordReader {
     type Item = io::Result<RunRecord>;
 
     fn next(&mut self) -> Option<io::Result<RunRecord>> {
-        let plan = self.plans.next()?;
-        Some(resume_record(&self.runs_dir, &plan).ok_or_else(|| {
+        let id = self.ids.next()?;
+        Some(resume_record(&self.runs_dir, &id).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
                 format!(
                     "missing or unreadable artifact for {} (expected {})",
-                    plan.coord.label(),
-                    artifact_path(&self.runs_dir, &plan).display()
+                    id.coord.label(),
+                    artifact_path(&self.runs_dir, &id.hash).display()
                 ),
             )
         }))
@@ -637,22 +639,26 @@ pub fn load(spec: &CampaignSpec, dir: &Path) -> io::Result<Vec<RunRecord>> {
     RunRecordReader::open(spec, dir)?.collect()
 }
 
-fn artifact_path(runs_dir: &Path, plan: &RunPlan) -> PathBuf {
-    runs_dir.join(format!("run-{}.jsonl", plan.hash))
+fn invalid_spec(e: crate::spec::SpecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}"))
 }
 
-fn resume_record(runs_dir: &Path, plan: &RunPlan) -> Option<RunRecord> {
-    let text = std::fs::read_to_string(artifact_path(runs_dir, plan)).ok()?;
+fn artifact_path(runs_dir: &Path, hash: &str) -> PathBuf {
+    runs_dir.join(format!("run-{hash}.jsonl"))
+}
+
+fn resume_record(runs_dir: &Path, id: &RunId) -> Option<RunRecord> {
+    let text = std::fs::read_to_string(artifact_path(runs_dir, &id.hash)).ok()?;
     let record = RunRecord::decode(&text)?;
-    (record.hash == plan.hash).then_some(record)
+    (record.hash == id.hash).then_some(record)
 }
 
 /// Moves an unreadable artifact to `runs/corrupt/` (same filename) so
 /// the evidence survives while resume re-executes the run.
-fn quarantine(runs_dir: &Path, plan: &RunPlan) -> io::Result<()> {
+fn quarantine(runs_dir: &Path, hash: &str) -> io::Result<()> {
     let corrupt_dir = runs_dir.join("corrupt");
     std::fs::create_dir_all(&corrupt_dir)?;
-    let name = format!("run-{}.jsonl", plan.hash);
+    let name = format!("run-{hash}.jsonl");
     std::fs::rename(runs_dir.join(&name), corrupt_dir.join(&name))
 }
 
@@ -677,17 +683,16 @@ fn write_record_atomic(path: &Path, record: &RunRecord) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn manifest(spec: &CampaignSpec, plans: &[RunPlan]) -> crate::json::Json {
+fn manifest(spec: &CampaignSpec, ids: &[RunId]) -> crate::json::Json {
     use crate::json::Json;
     Json::object(vec![
         ("schema", Json::UInt(crate::artifact::ARTIFACT_SCHEMA)),
         ("spec", spec.to_json()),
-        ("total_runs", Json::UInt(plans.len() as u64)),
+        ("total_runs", Json::UInt(ids.len() as u64)),
         (
             "runs",
             Json::Array(
-                plans
-                    .iter()
+                ids.iter()
                     .map(|p| {
                         Json::object(vec![
                             ("hash", Json::Str(p.hash.clone())),

@@ -10,162 +10,30 @@
 use crate::artifact::RunRecord;
 use crate::json::Json;
 use crate::matrix::Coord;
-use crate::spec::{discipline_name, KernelChoice};
-use clocksync::scenario::ScenarioKind;
-use tsn_hyp::SyncClockDiscipline;
 use tsn_metrics::{SampleSummary, StreamingSummary};
 
 /// A grid point minus the seed axis: the unit of cross-seed grouping.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupKey {
-    /// The scenario.
-    pub scenario: ScenarioKind,
-    /// Domain count, if swept.
-    pub domains: Option<usize>,
-    /// Sync interval in ms, if swept.
-    pub sync_interval_ms: Option<u64>,
-    /// Kernel assignment, if swept.
-    pub kernel: Option<KernelChoice>,
-    /// Injector rate, if swept.
-    pub fault_rate_per_hour: Option<u32>,
-    /// Clock discipline, if swept.
-    pub discipline: Option<SyncClockDiscipline>,
-    /// Adversary strategy preset, if swept.
-    pub strategy: Option<&'static str>,
-    /// Compromised GM count, if swept.
-    pub compromised: Option<usize>,
-    /// Link loss in permille, if swept.
-    pub loss_permille: Option<u32>,
-    /// Partition window length in seconds, if swept.
-    pub partition_s: Option<u64>,
-    /// Dynamic BMCA election override, if swept.
-    pub election: Option<bool>,
-    /// Announce interval in ms, if swept.
-    pub announce_interval_ms: Option<u64>,
-    /// Scheduled GM kill time in seconds after warm-up, if swept.
-    pub gm_failure_at_s: Option<u64>,
-    /// Rogue-master count, if swept.
-    pub rogue_master: Option<usize>,
-    /// Fabric hop count, if swept.
-    pub hops: Option<u32>,
-    /// Fabric cross-traffic load in percent, if swept.
-    pub cross_traffic_pct: Option<u32>,
-    /// Fabric per-hop delay asymmetry in ns, if swept.
-    pub asymmetry_ns: Option<u64>,
-    /// Transparent-clock mode, if swept.
-    pub tc_mode: Option<bool>,
-    /// Fabric topology, if swept.
-    pub topology: Option<&'static str>,
-    /// Adversary shift magnitude in ns, if swept.
-    pub adv_offset_ns: Option<u64>,
-    /// Aggregation trim degree, if swept.
-    pub fta_f: Option<usize>,
-    /// Fleet node count, if swept.
-    pub fleet_nodes: Option<u32>,
-    /// Fleet topology shape, if swept.
-    pub fleet_topology: Option<&'static str>,
-}
+pub struct GroupKey(Coord);
 
 impl GroupKey {
-    /// The grouping key of a run.
+    /// The grouping key of a run: its coordinate with the seed cleared.
     pub fn of(coord: &Coord) -> GroupKey {
-        GroupKey {
-            scenario: coord.scenario,
-            domains: coord.domains,
-            sync_interval_ms: coord.sync_interval_ms,
-            kernel: coord.kernel,
-            fault_rate_per_hour: coord.fault_rate_per_hour,
-            discipline: coord.discipline,
-            strategy: coord.strategy,
-            compromised: coord.compromised,
-            loss_permille: coord.loss_permille,
-            partition_s: coord.partition_s,
-            election: coord.election,
-            announce_interval_ms: coord.announce_interval_ms,
-            gm_failure_at_s: coord.gm_failure_at_s,
-            rogue_master: coord.rogue_master,
-            hops: coord.hops,
-            cross_traffic_pct: coord.cross_traffic_pct,
-            asymmetry_ns: coord.asymmetry_ns,
-            tc_mode: coord.tc_mode,
-            topology: coord.topology,
-            adv_offset_ns: coord.adv_offset_ns,
-            fta_f: coord.fta_f,
-            fleet_nodes: coord.fleet_nodes,
-            fleet_topology: coord.fleet_topology,
-        }
+        GroupKey(Coord { seed: 0, ..*coord })
     }
 
     /// A compact human-readable label, listing only active axes.
     pub fn label(&self) -> String {
-        let mut parts = vec![self.scenario.name().to_string()];
-        if let Some(m) = self.domains {
-            parts.push(format!("M={m}"));
-        }
-        if let Some(s) = self.sync_interval_ms {
-            parts.push(format!("S={s}ms"));
-        }
-        if let Some(k) = self.kernel {
-            parts.push(format!("kernels={}", k.name()));
-        }
-        if let Some(r) = self.fault_rate_per_hour {
-            parts.push(format!("rate={r}/h"));
-        }
-        if let Some(d) = self.discipline {
-            parts.push(discipline_name(d).to_string());
-        }
-        if let Some(s) = self.strategy {
-            parts.push(format!("adv={s}"));
-        }
-        if let Some(b) = self.compromised {
-            parts.push(format!("byz={b}"));
-        }
-        if let Some(p) = self.loss_permille {
-            parts.push(format!("loss={p}pm"));
-        }
-        if let Some(p) = self.partition_s {
-            parts.push(format!("partition={p}s"));
-        }
-        if let Some(e) = self.election {
-            parts.push(format!("election={}", if e { "on" } else { "off" }));
-        }
-        if let Some(a) = self.announce_interval_ms {
-            parts.push(format!("announce={a}ms"));
-        }
-        if let Some(t) = self.gm_failure_at_s {
-            parts.push(format!("gm-kill={t}s"));
-        }
-        if let Some(r) = self.rogue_master {
-            parts.push(format!("rogue={r}"));
-        }
-        if let Some(h) = self.hops {
-            parts.push(format!("hops={h}"));
-        }
-        if let Some(p) = self.cross_traffic_pct {
-            parts.push(format!("xload={p}%"));
-        }
-        if let Some(a) = self.asymmetry_ns {
-            parts.push(format!("asym={a}ns"));
-        }
-        if let Some(t) = self.tc_mode {
-            parts.push(format!("tc={}", if t { "on" } else { "off" }));
-        }
-        if let Some(t) = self.topology {
-            parts.push(format!("topo={t}"));
-        }
-        if let Some(a) = self.adv_offset_ns {
-            parts.push(format!("adv_ns={a}"));
-        }
-        if let Some(f) = self.fta_f {
-            parts.push(format!("f={f}"));
-        }
-        if let Some(n) = self.fleet_nodes {
-            parts.push(format!("fleet_n={n}"));
-        }
-        if let Some(t) = self.fleet_topology {
-            parts.push(format!("fleet_topo={t}"));
-        }
-        parts.join(" ")
+        self.0.group_label()
+    }
+}
+
+/// Reads the key's axes as coordinate fields (`key.discipline`, …).
+impl std::ops::Deref for GroupKey {
+    type Target = Coord;
+
+    fn deref(&self) -> &Coord {
+        &self.0
     }
 }
 
@@ -663,37 +531,18 @@ pub fn diff(
 mod tests {
     use super::*;
     use crate::artifact::{BoundsRecord, PrecisionRecord};
+    use crate::spec::discipline_name;
+    use clocksync::scenario::ScenarioKind;
     use clocksync::RunCounters;
+    use tsn_hyp::SyncClockDiscipline;
 
     fn rec(seed: u64, discipline: SyncClockDiscipline, p95: i64, within: f64) -> RunRecord {
         RunRecord {
             campaign: "t".to_string(),
             hash: format!("{seed:x}-{}", discipline_name(discipline)),
             coord: Coord {
-                scenario: ScenarioKind::Baseline,
-                seed,
-                domains: None,
-                sync_interval_ms: None,
-                kernel: None,
-                fault_rate_per_hour: None,
                 discipline: Some(discipline),
-                strategy: None,
-                compromised: None,
-                loss_permille: None,
-                partition_s: None,
-                election: None,
-                announce_interval_ms: None,
-                gm_failure_at_s: None,
-                rogue_master: None,
-                hops: None,
-                cross_traffic_pct: None,
-                asymmetry_ns: None,
-                tc_mode: None,
-                topology: None,
-                adv_offset_ns: None,
-                fta_f: None,
-                fleet_nodes: None,
-                fleet_topology: None,
+                ..Coord::new(ScenarioKind::Baseline, seed)
             },
             seed: seed * 1000,
             counters: RunCounters::default(),

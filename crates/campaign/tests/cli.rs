@@ -81,37 +81,48 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Specs that parse as JSON but fail validation must be a plain exit-2
+/// error at the CLI that names the offending axis, never a panic inside
+/// `expand`, and must leave no file behind:
+///
+/// * a domain count outside 4..=16 breaks the FTA's N > 3f requirement;
+/// * a value listed twice in one axis (regression: it used to pass, both
+///   copies shared one artifact and its `.tmp` file, and summaries
+///   counted the run twice).
 #[test]
 fn run_with_malformed_spec_exits_two_with_message() {
-    // A spec that parses as JSON but fails validation (domain count
-    // outside 4..=16 breaks the FTA's N > 3f requirement) must be a
-    // plain exit-2 error at the CLI, never a panic inside `expand`.
     let dir = scratch("malformed");
     std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("bad.json");
-    std::fs::write(
-        &spec_path,
-        r#"{"schema":1,"name":"bad","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[1],"domains":[2]}}"#,
-    )
-    .unwrap();
-
-    let out = campaign(&[
-        "run",
-        "--spec",
-        spec_path.to_str().unwrap(),
-        "--dir",
-        dir.join("campaign").to_str().unwrap(),
-        "--quiet",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "run panicked: {stderr}");
-    assert!(stderr.contains("error:"), "no error message: {stderr}");
-    assert!(
-        stderr.contains("domains") || stderr.contains("4..=16"),
-        "error does not name the offending field: {stderr}"
-    );
-
+    for (grid, names) in [
+        (r#"{"seeds":[1],"domains":[2]}"#, "domains axis value 2"),
+        (r#"{"seeds":[1,1,2]}"#, "grid.seeds repeats"),
+        (
+            r#"{"seeds":[1],"loss_permille":[0,20,0]}"#,
+            "grid.loss_permille repeats",
+        ),
+    ] {
+        let spec_path = dir.join("bad.json");
+        let spec = r#"{"schema":1,"name":"bad","base":{"preset":"quick"},"scenarios":["baseline"],"grid":GRID}"#;
+        std::fs::write(&spec_path, spec.replace("GRID", grid)).unwrap();
+        let campaign_dir = dir.join("campaign");
+        let out = campaign(&[
+            "run",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--dir",
+            campaign_dir.to_str().unwrap(),
+            "--quiet",
+        ]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "run panicked: {stderr}");
+        assert!(stderr.contains("error:"), "no error message: {stderr}");
+        assert!(
+            stderr.contains(names),
+            "error does not name the axis: {stderr}"
+        );
+        assert!(!campaign_dir.exists(), "an invalid spec wrote files");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -16,9 +16,13 @@
 //!   --dir crates/campaign/tests/fixtures/golden-campaign \
 //!   > crates/campaign/tests/fixtures/golden_summary.json
 //! ```
+//!
+//! The committed `specs/*.json` files are pinned the same way, against
+//! the builtins they are the file forms of.
 
 use std::path::Path;
 use std::process::Command;
+use tsn_campaign::{CampaignSpec, FrontierSpec};
 
 #[test]
 fn summarize_json_matches_golden_file() {
@@ -73,5 +77,31 @@ fn golden_summary_parses_and_has_the_pinned_fields() {
         for key in ["count", "mean", "std", "min", "max", "p50", "p95", "p99"] {
             assert!(stats.get(key).is_some(), "stats lack pinned field {key:?}");
         }
+    }
+}
+
+/// `specs/*.json` are the file forms of the builtins: a builtin that
+/// changes without its file (or the reverse) fails here, not only in
+/// the CI step that diffs `campaign spec --builtin` against the file.
+#[test]
+fn committed_spec_files_match_the_builtins() {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let builtins = CampaignSpec::BUILTINS
+        .iter()
+        .map(|name| (name, CampaignSpec::builtin(name).unwrap().render()))
+        .chain(
+            FrontierSpec::BUILTINS
+                .iter()
+                .map(|name| (name, FrontierSpec::builtin(name).unwrap().render())),
+        );
+    for (name, rendered) in builtins {
+        let file = specs.join(format!("{}.json", name.replace('-', "_")));
+        let committed = std::fs::read_to_string(&file).unwrap();
+        assert_eq!(
+            committed,
+            rendered,
+            "{} differs from builtin {name}",
+            file.display()
+        );
     }
 }
